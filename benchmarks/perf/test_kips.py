@@ -9,10 +9,13 @@ real budgets through ``python -m repro bench`` and gates on
 import json
 import pathlib
 
+import pytest
+
 from repro import perf
 from repro.cli import main
 
 BASELINE = pathlib.Path(__file__).parent / "baseline.json"
+NATIVE_BASELINE = pathlib.Path(__file__).parent / "baseline_native.json"
 
 
 class TestMeasureKips:
@@ -83,10 +86,13 @@ class TestBaselineGate:
                                          max_regression=0.30)
         assert ok
 
-    def test_committed_baseline_is_valid(self):
-        baseline = json.loads(BASELINE.read_text())
+    @pytest.mark.parametrize("path, engine", [
+        (BASELINE, "interp"), (NATIVE_BASELINE, "native")])
+    def test_committed_baseline_is_valid(self, path, engine):
+        baseline = json.loads(path.read_text())
         assert baseline["median_kips"] > 0
         assert baseline["runs"]
+        assert baseline["engine"] == engine
 
 
 class TestBenchCli:

@@ -122,8 +122,20 @@ class SerialExecutor:
                 progress(index + 1, len(specs), spec)
 
 
+def _trace_key(indexed_spec):
+    spec = indexed_spec[1]
+    return spec.workload, -1 if spec.seed is None else spec.seed
+
+
 def _stream_pool(pool, specs, progress, run_timeout, on_stall=None):
     """Drain ``imap_unordered`` with an optional per-result stall bound.
+
+    Work is submitted grouped by trace, ``(workload, seed)``, keeping
+    spec order within a group: consecutive points that share a trace go
+    to the same workers, which then reuse it from their materialized
+    trace cache instead of regenerating it (a config-major grid would
+    otherwise hand each worker a different trace every point).  Results
+    carry their spec index, so callers see no difference.
 
     ``run_timeout`` (seconds) caps how long the *next* result may take
     to arrive: one wedged simulation (or a pool worker that died
@@ -133,7 +145,8 @@ def _stream_pool(pool, specs, progress, run_timeout, on_stall=None):
     wedged workers before the error propagates.
     """
     done = 0
-    results = pool.imap_unordered(_pool_worker, list(enumerate(specs)))
+    results = pool.imap_unordered(
+        _pool_worker, sorted(enumerate(specs), key=_trace_key))
     while True:
         try:
             if run_timeout:

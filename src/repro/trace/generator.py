@@ -30,12 +30,20 @@ from __future__ import annotations
 
 import copy
 import itertools
+import threading
 from collections import OrderedDict
 from random import Random
 
 from repro.isa.instruction import TraceRecord
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NO_REG
+from repro.trace.columns import (
+    CHUNK,
+    RECORD_BYTES,
+    TraceColumns,
+    empty_columns,
+    extend_columns,
+)
 from repro.trace.program import (
     INDUCTION,
     CondBranch,
@@ -121,44 +129,162 @@ class _KernelProgram:
         raise TypeError(f"unknown statement: {stmt!r}")
 
 
-# Materialized-trace cache: (workload name, seed) -> [records, stream].
-# Trace streams are deterministic per (workload, seed), so repeated
-# simulations of the same point — benchmark repeats, engine A/B
-# comparisons, config sweeps over one workload — can share one
-# materialization instead of re-running the generator.  Bounded LRU;
-# entries grow on demand when a later caller needs a longer prefix.
-_MATERIALIZED: OrderedDict = OrderedDict()
-_MATERIALIZED_MAX = 4
+#: Estimated bytes per record of the Python form: its list slot plus a
+#: share of the fresh load/store records (static ones are prototypes).
+_PYTHON_RECORD_BYTES = 64
+
+
+class _TraceEntry:
+    """Both forms of one cached ``(workload, seed)`` trace prefix.
+
+    The columns are always built, a chunk at a time from the record
+    stream; the Python record list only once a Python tier iterates.
+    """
+
+    __slots__ = ("key", "source", "columns", "missing", "stream",
+                 "records", "record_stream")
+
+    def __init__(self, key, source):
+        self.key = key
+        self.source = source
+        self.columns = empty_columns()
+        self.missing = []
+        self.stream = iter(source)
+        self.records = None
+        self.record_stream = None
+
+    def nbytes(self):
+        size = len(self.columns[0]) * RECORD_BYTES
+        if self.records is not None:
+            size += len(self.records) * _PYTHON_RECORD_BYTES
+        return size
+
+    def grow_columns(self, count):
+        start = len(self.columns[0])
+        if count <= start:
+            return
+        tail = empty_columns()
+        while start < count:
+            chunk = list(itertools.islice(self.stream,
+                                          min(count - start, CHUNK)))
+            if not chunk:
+                break
+            extend_columns(tail, self.missing, chunk, start)
+            start += len(chunk)
+        if len(self.columns[0]):
+            # Published arrays are never resized (views hold their
+            # buffers), so a longer prefix gets new arrays.
+            tail = tuple(old + new for old, new in zip(self.columns, tail))
+        self.columns = tail
+
+    def grow_records(self, count):
+        if self.records is None:
+            self.records = []
+            self.record_stream = iter(self.source)
+        need = count - len(self.records)
+        if need > 0:
+            self.records.extend(itertools.islice(self.record_stream, need))
+
+
+class _TraceCache:
+    """The process-level LRU of trace entries, bounded by bytes.
+
+    Trace streams are deterministic per ``(workload, seed)``, so
+    repeated simulations of the same point — benchmark repeats, engine
+    A/B comparisons, config sweeps over one workload — share one
+    materialization instead of re-running the generator.  The most
+    recent entry always stays, whatever its size; entries grow on
+    demand when a later caller needs a longer prefix.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.entries = OrderedDict()
+        self.nbytes = 0
+        # Serializes mutation: two threads must not drain one stream.
+        self.lock = threading.Lock()
+
+    def grow(self, entry, grow, count):
+        """Run ``grow(count)`` on ``entry`` and evict to the bound."""
+        before = entry.nbytes()
+        grow(count)
+        if self.entries.get(entry.key) is entry:  # not evicted meanwhile
+            self.nbytes += entry.nbytes() - before
+        self.trim()
+
+    def trim(self):
+        """Evict least recently used entries down to the byte bound."""
+        while self.nbytes > self.max_bytes and len(self.entries) > 1:
+            _, evicted = self.entries.popitem(last=False)
+            self.nbytes -= evicted.nbytes()
+
+
+_MATERIALIZED = _TraceCache(max_bytes=2 << 20)
+
+
+class CachedTrace:
+    """The first ``len(self)`` records of a cached trace, in two forms.
+
+    Iterating yields the shared, write-once :class:`TraceRecord` list
+    (built on first iteration, for the Python tiers);
+    :meth:`columns` is the native tier's columnar view.
+    """
+
+    __slots__ = ("_entry", "_count")
+
+    def __init__(self, entry, count):
+        self._entry = entry
+        self._count = count
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        entry = self._entry
+        with _MATERIALIZED.lock:
+            _MATERIALIZED.grow(entry, entry.grow_records, self._count)
+        return itertools.islice(entry.records, self._count)
+
+    def columns(self, skip=0, limit=None):
+        """A :class:`~repro.trace.columns.TraceColumns` view: ``skip``
+        warm-up records, then at most ``limit`` simulated ones."""
+        skip = min(skip, self._count)
+        count = self._count - skip
+        if limit is not None:
+            count = min(count, limit)
+        entry = self._entry
+        return TraceColumns(entry.columns, entry.missing, skip, count)
 
 
 def materialized_trace(workload, seed, count):
     """The first ``count`` records of ``SyntheticTrace(workload, seed)``.
 
-    Served from a small process-level LRU keyed by ``(workload.name,
-    seed)`` — callers must only use it for registry-loaded workloads,
-    where the name uniquely identifies the kernel content.  Records are
-    write-once (the pipeline never mutates a :class:`TraceRecord`), so
-    sharing the materialized list across runs is safe.
+    Served from a process-level LRU keyed by ``(workload.name, seed)``
+    as a :class:`CachedTrace` — callers must only use it for
+    registry-loaded workloads, where the name uniquely identifies the
+    kernel content.  Records are write-once (the pipeline never mutates
+    a :class:`TraceRecord`), so sharing either form across runs is safe.
     """
     key = (workload.name, seed)
-    entry = _MATERIALIZED.get(key)
-    if entry is None:
-        entry = [[], iter(SyntheticTrace(workload, seed))]
-        _MATERIALIZED[key] = entry
-        while len(_MATERIALIZED) > _MATERIALIZED_MAX:
-            _MATERIALIZED.popitem(last=False)
-    else:
-        _MATERIALIZED.move_to_end(key)
-    records, stream = entry
-    need = count - len(records)
-    if need > 0:
-        records.extend(itertools.islice(stream, need))
-    return records[:count] if len(records) > count else records
+    cache = _MATERIALIZED
+    with cache.lock:
+        entry = cache.entries.get(key)
+        if entry is None:
+            entry = cache.entries[key] = _TraceEntry(
+                key, SyntheticTrace(workload, seed))
+        else:
+            cache.entries.move_to_end(key)
+        cache.trim()  # before growing, so evicted entries free memory
+        cache.grow(entry, entry.grow_columns, count)
+    return CachedTrace(entry, count)
 
 
 def clear_materialized_traces():
-    """Drop the materialized-trace cache (tests, memory pressure)."""
-    _MATERIALIZED.clear()
+    """Drop the materialized-trace cache, both forms (tests, memory
+    pressure)."""
+    with _MATERIALIZED.lock:
+        _MATERIALIZED.entries.clear()
+        _MATERIALIZED.nbytes = 0
 
 
 class SyntheticTrace:

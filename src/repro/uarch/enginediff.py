@@ -125,12 +125,12 @@ def run_point(choice, workload, engine, instructions=DIFF_INSTRUCTIONS,
     """
     from repro.trace.generator import materialized_trace
 
-    records = materialized_trace(load_workload(workload), seed,
-                                 skip + instructions)
+    trace = materialized_trace(load_workload(workload), seed,
+                               skip + instructions)
     processor = Processor(build_config(choice),
                           idle_skip=choice["idle_skip"], engine=engine)
     try:
-        result = processor.run(iter(records), max_instructions=instructions,
+        result = processor.run(trace, max_instructions=instructions,
                                skip=skip)
         stats = result.stats.to_dict()
     except SimulationDeadlock as exc:

@@ -7,10 +7,14 @@ This package lowers the same per-``ProcessorConfig`` specialization to
 C99: a ``#define`` header rendered per feature vector is prepended to
 ``engine_template.c`` (one translation unit), compiled once with the
 system toolchain (``cc -O2 -shared -fPIC``; ``REPRO_CC`` overrides the
-probe order), and loaded through :mod:`ctypes`.  The trace is marshalled
-once into flat ``array``-module buffers, the whole run executes in
-native code, and a flat counter block is mapped back onto ``SimStats``
-— the contract is **bit-identical** statistics with the interpreter,
+probe order), and loaded through :mod:`ctypes`.  The trace arrives as
+typed columns (:class:`~repro.trace.columns.TraceColumns`) that the C
+loop reads in place — the materialized-trace cache keeps them per
+``(workload, seed)``, any other record iterable is converted once —
+and the functional warm-up over the skipped prefix runs in C too, so a
+run does no per-record Python work.  A flat counter block is mapped
+back onto ``SimStats`` — the contract is **bit-identical** statistics
+with the interpreter,
 enforced by the same differential stack as the compiled tier
 (``tools/engine_diff.py``, golden replays, the chaos differential).
 
@@ -54,7 +58,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX host
     fcntl = None
 
-#: build/marshal failures by reason (diagnostics; reset per process).
+#: build and trace refusals by reason (diagnostics; reset per process).
 build_failures: dict[str, int] = {}
 
 #: in-process cache of loaded shared objects, keyed by artifact name.
@@ -351,7 +355,7 @@ def _build_lock(directory):
 
 def _declare(lib):
     lib.repro_run.restype = ctypes.c_int64
-    lib.repro_run.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 10
+    lib.repro_run.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
     return lib
 
 
@@ -421,33 +425,7 @@ def build_library(processor):
     return lib, None
 
 
-# -- marshalling + execution -------------------------------------------------
-
-
-def _marshal(records):
-    """Flat per-field buffers for the C loop, or ``(None, reason)``."""
-    n = len(records)
-    pc = array("q", bytes(8 * n))
-    op = array("i", bytes(4 * n))
-    dest = array("i", bytes(4 * n))
-    src1 = array("i", bytes(4 * n))
-    src2 = array("i", bytes(4 * n))
-    addr = array("q", bytes(8 * n))
-    taken = array("b", bytes(n))
-    for i, rec in enumerate(records):
-        o = int(rec.op)
-        op[i] = o
-        pc[i] = rec.pc
-        dest[i] = rec.dest
-        src1[i] = rec.src1
-        src2[i] = rec.src2
-        addr[i] = rec.addr
-        taken[i] = 1 if rec.taken else 0
-        if OP_DECODE[o][2] and (rec.src1 < 0 or rec.src2 < 0):
-            # A store's value tag is src_tags[1]; the Python tiers
-            # crash on a store missing a source, the C loop cannot.
-            return None, "store-missing-src"
-    return (pc, op, dest, src1, src2, addr, taken), None
+# -- execution ---------------------------------------------------------------
 
 
 def _ptr(arr):
@@ -532,16 +510,21 @@ def _sync(processor, c, tags_arr, bht_arr):
         p.regfile.bank_conflicts = c[K["rf_bank_conflicts"]]
 
 
-def execute(processor, records):
-    """Run ``records`` through the native loop on ``processor``.
+def execute(processor, trace):
+    """Run a :class:`~repro.trace.columns.TraceColumns` trace through
+    the native loop on ``processor``.
 
-    Returns ``True`` when the native tier ran and the processor's state
-    was synced (the caller finishes with ``_harvest_stats`` exactly as
-    for the compiled tier), ``False`` on any fallback (reason recorded
-    in :data:`build_failures`), and raises ``SimulationDeadlock`` — with
-    the interpreter's message prefix — when the simulation deadlocks.
+    The C loop reads the columns in place: it first warms the cache and
+    the branch predictor over the ``trace.skip`` prefix (exactly
+    ``Processor._warm_up``), then simulates the ``len(trace)`` records
+    after it.  Returns ``True`` when the native tier ran and the
+    processor's state was synced (the caller finishes with
+    ``_harvest_stats`` exactly as for the compiled tier), ``False`` on
+    any fallback (reason recorded in :data:`build_failures`, Python
+    state untouched), and raises ``SimulationDeadlock`` — with the
+    interpreter's message prefix — when the simulation deadlocks.
     """
-    n = len(records)
+    n = len(trace)
     if n == 0:
         _note_failure("empty-trace")
         return False
@@ -554,17 +537,16 @@ def execute(processor, records):
     if not _pristine(processor):
         _note_failure("non-pristine-state")
         return False
+    if trace.store_missing_src():
+        _note_failure("store-missing-src")
+        return False
     lib, reason = build_library(processor)
     if lib is None:
-        return False
-    buffers, reason = _marshal(records)
-    if buffers is None:
-        _note_failure(reason)
         return False
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
-    rc = lib.repro_run(ctypes.c_int64(n), *map(_ptr, buffers),
+    rc = lib.repro_run(n, trace.skip, *map(_ptr, trace.arrays),
                        _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
     if rc in (0, 1):
         _sync(processor, counters, tags_arr, bht_arr)

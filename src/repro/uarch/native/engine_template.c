@@ -15,9 +15,12 @@
  * contract is bit-identical SimStats with the interpreter.
  *
  * Entry point:
- *   int64_t repro_run(n, rec_pc, rec_op, rec_dest, rec_src1, rec_src2,
- *                     rec_addr, rec_taken, cache_tags_io, bht_io,
- *                     counters)
+ *   int64_t repro_run(n, skip, rec_pc, rec_op, rec_dest, rec_src1,
+ *                     rec_src2, rec_addr, rec_taken, cache_tags_io,
+ *                     bht_io, counters)
+ * The rec_* columns hold skip + n records.  The first skip records are
+ * the functional warm-up prefix (cache tags and BHT only, exactly
+ * Processor._warm_up); the next n are simulated.
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated (nothing is
@@ -887,9 +890,35 @@ static int setup(int64_t n)
     return 0;
 }
 
+/* ---- functional warm-up ---------------------------------------------- */
+
+/* Processor._warm_up over the skip prefix: install the line of every
+ * nonzero address and train the BHT on every branch, with no timing. */
+static void warm_up(int64_t skip, const int64_t *pc, const int32_t *op,
+                    const int64_t *addr, const int8_t *taken)
+{
+    int64_t i;
+    for (i = 0; i < skip; i++) {
+        if (addr[i]) {
+            int64_t line = addr[i] / LINE_BYTES;
+            c_tags[line % NUM_LINES] = line;
+        }
+        if (OP_BR[op[i]]) {
+            int64_t bidx = (pc[i] >> 2) & BHT_MASK;
+            int8_t ctr = bht[bidx];
+            if (taken[i]) {
+                if (ctr < 3)
+                    bht[bidx] = ctr + 1;
+            } else if (ctr > 0) {
+                bht[bidx] = ctr - 1;
+            }
+        }
+    }
+}
+
 /* ---- the run loop --------------------------------------------------- */
 
-int64_t repro_run(int64_t n,
+int64_t repro_run(int64_t n, int64_t skip,
                   const int64_t *rec_pc, const int32_t *rec_op,
                   const int32_t *rec_dest, const int32_t *rec_src1,
                   const int32_t *rec_src2, const int64_t *rec_addr,
@@ -909,21 +938,22 @@ int64_t repro_run(int64_t n,
     int64_t deadlock_head = -1;
     int64_t rc;
 
-    r_pc = rec_pc;
-    r_op = rec_op;
-    r_dest = rec_dest;
-    r_src1 = rec_src1;
-    r_src2 = rec_src2;
-    r_addr = rec_addr;
-    r_taken = rec_taken;
     c_tags = cache_tags_io;
     bht = bht_io;
+    r_pc = rec_pc + skip;
+    r_op = rec_op + skip;
+    r_dest = rec_dest + skip;
+    r_src1 = rec_src1 + skip;
+    r_src2 = rec_src2 + skip;
+    r_addr = rec_addr + skip;
+    r_taken = rec_taken + skip;
 
     if (setup(n)) {
         rc = g_rc;
         free_all();
         return rc;
     }
+    warm_up(skip, rec_pc, rec_op, rec_addr, rec_taken);
 
     while (!(exhausted && !fb_n && !rob_n)) {
         /* ---- write-back: completion events -------------------------- */
@@ -1391,7 +1421,7 @@ int64_t repro_run(int64_t n,
                 budget--;
                 if (OP_STORE[op]) {
                     /* wait_tags = src_tags[:1]; value tag = src_tags[1]
-                     * (the marshalling layer guarantees both sources) */
+                     * (the Python side refuses stores missing a source) */
                     sq_insert(s);
                     if (g_rc)
                         goto bail;

@@ -66,6 +66,8 @@ from repro.core.tags import TAG_CLASS_SHIFT
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import RegClass
 from repro.memory.memory_system import MemorySystem
+from repro.trace.columns import TraceColumns
+from repro.trace.generator import CachedTrace
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.dynamic import DynInstr
 from repro.uarch.events import EventWheel
@@ -184,23 +186,19 @@ class Processor:
                 "(its caches, predictor, and rename state are warm)"
             )
         self._ran = True
-        stream = iter(trace)
-        if skip:
-            self._warm_up(stream, skip)
-        if max_instructions is not None:
-            stream = itertools.islice(stream, max_instructions)
-        self._trace = stream
-        self._exhausted = False
         from repro.uarch import compiled as _compiled
 
         engine = _compiled.resolve_engine(self._engine)
         self.engine_used = "interp"
-        # The native tier runs the whole trace in C.  It needs the
-        # record list up front (one marshalling pass); on any build or
-        # marshalling failure it falls back to the compiled tier below,
-        # counting the fallback.  Per-instance _step instrumentation
-        # forces the interpreter for the same reason as the compiled
-        # tier (silently: the request is reinterpreted, not failed).
+        # The native tier runs the whole trace, warm-up included, in C
+        # over typed columns: a cached trace's own, or one conversion of
+        # any other record iterable (whose records the fallback then
+        # replays).  On any build or trace refusal it falls back to the
+        # compiled tier below, counting the fallback; Python state is
+        # untouched until the C run syncs.  Per-instance _step
+        # instrumentation forces the interpreter for the same reason as
+        # the compiled tier (silently: the request is reinterpreted,
+        # not failed).
         if engine == "native" and "_step" not in self.__dict__:
             from repro.uarch import native as _native
 
@@ -208,15 +206,26 @@ class Processor:
                 # An unbounded stream cannot be safely materialized.
                 _native._note_failure("unbounded-trace")
             else:
-                records = list(stream)
-                self._trace = stream = iter(records)
+                if isinstance(trace, CachedTrace):
+                    columns = trace.columns(skip, max_instructions)
+                else:
+                    trace = list(itertools.islice(
+                        iter(trace), skip + max_instructions))
+                    columns = TraceColumns.from_records(trace, skip)
                 self.engine_used = "native"
-                if _native.execute(self, records):
+                if _native.execute(self, columns):
                     self.stats.cycles = self.now
                     self._harvest_stats()
                     return SimResult(stats=self.stats, config=self.config)
                 self.engine_used = "interp"
             self.stats.engine_fallbacks += 1
+        stream = iter(trace)
+        if skip:
+            self._warm_up(stream, skip)
+        if max_instructions is not None:
+            stream = itertools.islice(stream, max_instructions)
+        self._trace = stream
+        self._exhausted = False
         # The compiled tier takes over the whole run loop.  Per-instance
         # _step instrumentation (tests monkeypatch it) forces the
         # interpreter: a replaced _step would never be called by the
@@ -875,7 +884,7 @@ def simulate(config=None, trace=None, workload=None,
             if max_instructions is not None:
                 # Registry workloads are uniquely named, so repeated
                 # runs of the same (workload, seed) point share one
-                # materialized record list (see trace.generator).
+                # materialized trace (see trace.generator).
                 from repro.trace.generator import materialized_trace
 
                 trace = materialized_trace(

@@ -1,4 +1,5 @@
-"""Executor selection and the warm persistent pool."""
+"""Executor selection, the warm persistent pool, and trace-affine
+pool dispatch."""
 
 import pytest
 
@@ -9,7 +10,8 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
-from repro.uarch.config import conventional_config
+from repro.engine.executors import _stream_pool
+from repro.uarch.config import conventional_config, virtual_physical_config
 
 
 def specs(n, workload="go"):
@@ -61,3 +63,51 @@ class TestPersistentPool:
         warm.close()
         warm.close()
         assert warm._pool is None
+
+
+def config_major_grid():
+    """A ``repro sweep``-shaped grid: every workload per config, with a
+    second seed so trace keys differ in seed as well as workload."""
+    configs = [conventional_config(), virtual_physical_config(nrr=8)]
+    return [RunSpec(workload, config).resolved(400, 60, seed)
+            for config in configs
+            for workload in ("go", "swim", "li")
+            for seed in (1, 2)]
+
+
+class TestTraceAffineDispatch:
+    @pytest.mark.parametrize("make", [
+        lambda: ProcessPoolExecutor(jobs=2),
+        lambda: PersistentPoolExecutor(jobs=2),
+    ], ids=["pool", "persistent"])
+    def test_config_major_grid_matches_serial_in_spec_order(self, make):
+        grid = config_major_grid()
+        serial = SerialExecutor().run(grid)
+        executor = make()
+        try:
+            got = executor.run(grid)
+        finally:
+            getattr(executor, "close", lambda: None)()
+        assert [r.workload for r in got] == [s.workload for s in grid]
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in serial]
+
+    def test_stream_pool_submits_points_grouped_by_trace(self):
+        class RecordingPool:
+            def imap_unordered(self, fn, work):
+                self.submitted = list(work)
+                return iter([(i, spec.workload)
+                             for i, spec in self.submitted])
+
+        grid = config_major_grid()
+        pool = RecordingPool()
+        streamed = dict(_stream_pool(pool, grid, None, None))
+        assert streamed == {i: s.workload for i, s in enumerate(grid)}
+        keys = [(spec.workload, spec.seed) for _, spec in pool.submitted]
+        # Each trace key is one contiguous run of submissions ...
+        runs = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+        assert len(runs) == len(set(keys)) == 6
+        # ... in spec order within it (a stable sort on the index).
+        for key in set(keys):
+            indices = [i for i, spec in pool.submitted
+                       if (spec.workload, spec.seed) == key]
+            assert indices == sorted(indices)

@@ -109,7 +109,7 @@ def test_native_refuses_precise_exception_injection():
     def run(engine):
         processor = Processor(conventional_config(engine=engine))
         processor.inject_faults([300])
-        result = processor.run(iter(records),
+        result = processor.run(records,
                                max_instructions=INSTRUCTIONS, skip=SKIP)
         return processor, result.stats.to_dict()
 

@@ -26,7 +26,7 @@ from repro.trace.workloads import load_workload
 
 
 def _trace(workload="li", n=6_500, seed=1234):
-    return iter(materialized_trace(load_workload(workload), seed, n))
+    return materialized_trace(load_workload(workload), seed, n)
 
 
 def _run(config, engine, workload="li", n=6_000, skip=500, idle=True):
