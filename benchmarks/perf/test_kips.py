@@ -28,6 +28,9 @@ class TestMeasureKips:
         assert run["committed"] == 2_000
         assert report["median_kips"] == run["kips"]
         assert report["repeats"] == 1
+        assert report["trace_build_ns"]["go"] > 0
+        assert report["median_trace_build_ns"] == \
+            report["trace_build_ns"]["go"]
 
     def test_multiple_points_and_median(self):
         report = perf.measure_kips(workloads=["go", "swim"],
@@ -86,6 +89,22 @@ class TestBaselineGate:
                                          max_regression=0.30)
         assert ok
 
+    def test_trace_build_regression_detected(self):
+        baseline = {"median_kips": 100.0, "median_trace_build_ns": 70.0}
+        fast = {"median_kips": 100.0}
+        ok, message = perf.compare_to_baseline(
+            dict(fast, median_trace_build_ns=101.0), baseline,
+            max_regression=0.30)
+        assert not ok and "trace build" in message
+        ok, _ = perf.compare_to_baseline(
+            dict(fast, median_trace_build_ns=99.0), baseline,
+            max_regression=0.30)
+        assert ok
+        # A baseline without the figure gates KIPS alone.
+        ok, _ = perf.compare_to_baseline(
+            dict(fast, median_trace_build_ns=1e9), {"median_kips": 100.0})
+        assert ok
+
     @pytest.mark.parametrize("path, engine", [
         (BASELINE, "interp"), (NATIVE_BASELINE, "native")])
     def test_committed_baseline_is_valid(self, path, engine):
@@ -93,6 +112,8 @@ class TestBaselineGate:
         assert baseline["median_kips"] > 0
         assert baseline["runs"]
         assert baseline["engine"] == engine
+        if engine == "native":  # CI gates its trace build too
+            assert baseline["median_trace_build_ns"] > 0
 
 
 class TestBenchCli:

@@ -31,7 +31,6 @@ from repro.core.policy import (
     register_policy,
     resolve_policy,
 )
-from repro.core.renamer import Renamer
 from repro.core.conventional import ConventionalRenamer
 from repro.core.reserve import ReservePolicy
 from repro.core.virtual_physical import VirtualPhysicalRenamer
@@ -50,7 +49,6 @@ __all__ = [
     "policy_names",
     "register_policy",
     "resolve_policy",
-    "Renamer",
     "ConventionalRenamer",
     "ReservePolicy",
     "AllocationStage",

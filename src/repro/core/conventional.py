@@ -62,7 +62,7 @@ class ConventionalRenamer(RenamingPolicy):
         self._tag_tables = self.map_table
         self.decode_stalls = 0
 
-    # -- Renamer interface ---------------------------------------------------
+    # -- RenamingPolicy interface -------------------------------------------
 
     def can_rename(self, rec):
         """Whether a physical register is free for ``rec``'s destination

@@ -134,7 +134,7 @@ class VirtualPhysicalRenamer(RenamingPolicy):
         self.issue_blocks = 0  # failed issue-stage allocations
         self.vp_stalls = 0
 
-    # -- Renamer interface ---------------------------------------------------
+    # -- RenamingPolicy interface -------------------------------------------
 
     def can_rename(self, rec):
         """Whether a *virtual* register is free for ``rec``'s destination

@@ -131,7 +131,7 @@ class ResultStore:
         self.directory = pathlib.Path(directory or default_cache_dir())
         self.path = self.directory / _STORE_FILE
         self.version = version or code_version()
-        self._index = None  # qualified key -> result dict (lazy)
+        self._index = None  # qualified key -> record line (lazy)
         self._broken = False
         self._segment_path = None  # created on first put
 
@@ -154,6 +154,10 @@ class ResultStore:
         return [self.path, *self.segment_paths()]
 
     def _load_index(self):
+        # The index keeps each valid record's JSON line, parsed again
+        # on get: a line is about a fifth of the size of its parsed
+        # dict, and a batch loads every stored record's entry before
+        # forking its pool.
         if self._index is not None:
             return self._index
         self._index = {}
@@ -166,9 +170,10 @@ class ResultStore:
                             continue
                         try:
                             qualified, record = _parse_record(line)
-                            self._index[qualified] = record["result"]
                         except (ValueError, KeyError, TypeError):
                             continue  # truncated/corrupt/bad-CRC line
+                        if "result" in record:
+                            self._index[qualified] = line
             except OSError:
                 continue
         return self._index
@@ -184,11 +189,11 @@ class ResultStore:
 
     def get(self, key):
         """The stored :class:`SimResult` for ``key``, or ``None``."""
-        record = self._load_index().get(self._qualified(key))
-        if record is None:
+        line = self._load_index().get(self._qualified(key))
+        if line is None:
             return None
         try:
-            return SimResult.from_dict(record)
+            return SimResult.from_dict(json.loads(line)["result"])
         except (TypeError, ValueError):
             return None
 
@@ -217,12 +222,12 @@ class ResultStore:
         if isinstance(extra, dict) and "profile" in extra:
             record["extra"] = {k: v for k, v in extra.items()
                                if k != "profile"}
-        self._load_index()[self._qualified(key)] = record
-        if self._broken:
-            return
         body = {"key": key, "version": self.version, "result": record}
         line = json.dumps(dict(body, crc=_record_crc(body)),
                           sort_keys=True)
+        self._load_index()[self._qualified(key)] = line
+        if self._broken:
+            return
         data = (line + "\n").encode("utf-8")
         if fault("store.corrupt_append"):
             # Valid JSON whose CRC cannot match: only the checksum can
@@ -236,14 +241,28 @@ class ResultStore:
             data = data[:max(1, len(data) // 2)] + b"\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self._segment(),
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, data)  # one write: never torn for readers
-            finally:
-                os.close(fd)
+            while not self._append(data):
+                pass
         except OSError:
             self._broken = True  # unwritable cache dir: keep simulating
+
+    def _append(self, data):
+        """Append ``data`` to this store's segment with one write.
+
+        False when the write landed in a segment that a concurrent
+        :meth:`compact` had already unlinked (this put opened it before
+        the compactor's rename, and wrote after its last drain): the
+        caller appends again, to a fresh segment at the same path.  A
+        record the compactor did rescue is then stored twice, which is
+        harmless — the newest record per key wins.
+        """
+        fd = os.open(self._segment(),
+                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, data)  # one write: never torn for readers
+            return os.fstat(fd).st_nlink > 0
+        finally:
+            os.close(fd)
 
     # -- maintenance -------------------------------------------------
 
@@ -264,7 +283,9 @@ class ResultStore:
         renamed inode is re-read through a held descriptor — including
         one final check after the unlink — so any record a concurrent
         ``put`` squeezed in through a pre-rename descriptor is caught
-        and appended to the new base.  Segments created after the scan
+        and appended to the new base.  A ``put`` whose write lands after
+        that final check finds its inode unlinked and appends again to
+        a fresh segment.  Segments created after the scan
         simply survive to the next compaction.
 
         Returns ``(kept, dropped)`` record counts; late-arriving
@@ -301,7 +322,11 @@ class ResultStore:
             except OSError:
                 continue
             saw_any = True
-            consumed[path] = len(data)
+            if path != self.path:
+                # A racing put may be mid-write: merge only whole lines,
+                # and leave the rest for the segment's tail drain.
+                data = data[:data.rfind(b"\n") + 1]
+                consumed[path] = len(data)
             for line in data.decode("utf-8", errors="replace").splitlines():
                 merge_line(line)
         if not saw_any:
@@ -363,12 +388,14 @@ class ResultStore:
     def _drain_tail(self, fd, offset):
         """Append records past ``offset`` of a retired segment to the base.
 
-        Reads until two consecutive size checks agree (a racing writer
-        appends whole lines, so the tail always ends on a newline once
-        quiescent), then appends the complete lines to ``results.jsonl``
-        with one ``O_APPEND`` write — later lines win on merge, so the
-        rescued records override nothing newer.  Returns
-        ``(record count, new offset)``.
+        Reads until two consecutive size checks agree, then appends the
+        complete lines to ``results.jsonl`` with one ``O_APPEND`` write —
+        later lines win on merge, so the rescued records override
+        nothing newer.  A line still being written (a reader can see
+        part of a racing write) is left past the returned offset for
+        the next drain; if none comes, its writer finds the segment
+        unlinked and appends the record again.  Returns ``(record
+        count, new offset)``.
         """
         tail = b""
         while True:
@@ -377,6 +404,7 @@ class ResultStore:
                 break
             os.lseek(fd, offset + len(tail), os.SEEK_SET)
             tail += os.read(fd, size - offset - len(tail))
+        tail = tail[:tail.rfind(b"\n") + 1]
         offset += len(tail)
         if not tail.rstrip():
             return 0, offset

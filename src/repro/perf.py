@@ -10,8 +10,12 @@ batch machinery in front of it.
 Entry points:
 
 * :func:`measure_kips` — run a grid, return the report dict.
+* :func:`trace_build_ns` — cold-cache cost of building one trace, in
+  nanoseconds per record; every report carries it per workload.
 * :func:`compare_to_baseline` — regression check against a previously
-  written report (the CI perf-smoke job fails on >30% regression).
+  written report (the CI perf-smoke job fails on >30% regression, of
+  the KIPS median and, when the baseline records it, of the median
+  trace-build throughput).
 * ``python -m repro bench`` — the CLI wrapper; writes
   ``BENCH_engine.json`` so the throughput trajectory is tracked in-repo.
 """
@@ -22,7 +26,11 @@ import json
 import statistics
 import time
 
-from repro.trace.workloads import WORKLOADS
+from repro.trace.generator import (
+    clear_materialized_traces,
+    materialized_trace,
+)
+from repro.trace.workloads import WORKLOADS, load_workload
 from repro.uarch.config import policy_config
 from repro.uarch.processor import simulate
 
@@ -38,6 +46,20 @@ def scheme_config(label):
     return policy_config(label)
 
 
+def trace_build_ns(workload, count, seed=1234, repeats=3):
+    """Median cold-cache cost of building ``workload``'s first ``count``
+    trace records (the slot-coded columns every tier starts from), in
+    nanoseconds per record.  Leaves that trace cached."""
+    times = []
+    for _ in range(repeats):
+        clear_materialized_traces()
+        model = load_workload(workload)
+        t0 = time.perf_counter()
+        materialized_trace(model, seed, count)
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) / count * 1e9, 1)
+
+
 def measure_kips(workloads=None, schemes=None, instructions=30_000,
                  skip=3_000, seed=1234, repeats=3, progress=None,
                  engine=None):
@@ -46,20 +68,26 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
     ``engine`` selects the cycle-engine tier for every point
     (``"interp"`` / ``"compiled"`` / ``"native"``; default ``None``
     keeps the config's ``"auto"``, deferring to ``REPRO_ENGINE``).
+    Each workload's trace is first built ``repeats`` times from a cold
+    cache (:func:`trace_build_ns`); the points then run on it warm.
     Returns a JSON-compatible report::
 
         {"unit": "KIPS", "instructions": ..., "repeats": ...,
          "runs": {"swim/conventional": {"kips": ..., "seconds": ...,
                                         "committed": ..., "cycles": ...}},
-         "median_kips": ..., "total_seconds": ...}
+         "median_kips": ..., "total_seconds": ...,
+         "trace_build_ns": {"swim": ...}, "median_trace_build_ns": ...}
     """
     workloads = list(workloads) if workloads else sorted(WORKLOADS)
     schemes = list(schemes) if schemes else list(DEFAULT_SCHEMES)
     runs = {}
+    build_ns = {}
     started = time.perf_counter()
     total = len(workloads) * len(schemes)
     done = 0
     for workload in workloads:
+        build_ns[workload] = trace_build_ns(workload, skip + instructions,
+                                            seed, repeats)
         for label in schemes:
             config = scheme_config(label)
             if engine:
@@ -103,6 +131,9 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
         "runs": runs,
         "median_kips": round(statistics.median(
             r["kips"] for r in runs.values()), 1),
+        "trace_build_ns": build_ns,
+        "median_trace_build_ns": round(statistics.median(
+            build_ns.values()), 1),
         "total_seconds": round(time.perf_counter() - started, 2),
         # Provenance: which simulator build produced these numbers (the
         # same fingerprint that qualifies result-store keys).
@@ -155,10 +186,13 @@ def compare_to_baseline(report, baseline, max_regression=0.30):
     """Regression check of ``report`` against a ``baseline`` report.
 
     Compares the overall ``median_kips`` (per-point numbers are too noisy
-    across machines); returns ``(ok, message)``.  Refuses to gate when
-    the two reports measured different register-file port-model
-    configurations for the same point — a port-enabled baseline is a
-    different machine, not a slower one.
+    across machines) and, when both reports carry it, the
+    ``median_trace_build_ns``: the same rule in throughput terms, so a
+    build may take up to ``1 / (1 - max_regression)`` times the
+    baseline's nanoseconds per record.  Returns ``(ok, message)``.
+    Refuses to gate when the two reports measured different
+    register-file port-model configurations for the same point — a
+    port-enabled baseline is a different machine, not a slower one.
     """
     base = baseline.get("median_kips")
     current = report.get("median_kips")
@@ -174,9 +208,17 @@ def compare_to_baseline(report, baseline, max_regression=0.30):
                            f"{other['regfile']}; not comparable")
     floor = base * (1.0 - max_regression)
     ratio = current / base
+    ok = current >= floor
     message = (f"median {current:.1f} KIPS vs baseline {base:.1f} KIPS "
                f"({ratio:.2f}x, floor {floor:.1f})")
-    return current >= floor, message
+    base_ns = baseline.get("median_trace_build_ns")
+    current_ns = report.get("median_trace_build_ns")
+    if base_ns and current_ns:
+        ceiling = base_ns / (1.0 - max_regression)
+        ok = ok and current_ns <= ceiling
+        message += (f"; trace build {current_ns:.1f} ns/record vs baseline "
+                    f"{base_ns:.1f} (ceiling {ceiling:.1f})")
+    return ok, message
 
 
 def load_report(path):
@@ -206,6 +248,9 @@ def format_report(report):
             line += f"  {speedup.get(key, 0):6.2f}x"
         lines.append(line)
     lines.append(f"{'median':28s} {report['median_kips']:8.1f}")
+    if "median_trace_build_ns" in report:
+        lines.append(f"{'trace build, ns/record':28s} "
+                     f"{report['median_trace_build_ns']:8.1f}")
     if speedup:
         lines.append(f"{'median speedup':28s} "
                      f"{report['median_speedup']:7.2f}x")

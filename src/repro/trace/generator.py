@@ -1,8 +1,8 @@
 """Dynamic trace generation from a :class:`~repro.trace.program.Workload`.
 
 The generator walks the workload's kernels (weighted-random order),
-running each kernel's loop for its trip count and emitting one
-:class:`~repro.isa.instruction.TraceRecord` per dynamic instruction:
+running each kernel's loop for its trip count and emitting one dynamic
+instruction per step:
 
 * each body statement in static program order (forward hammock branches
   skip statements when taken, keeping control flow consistent),
@@ -13,17 +13,25 @@ Everything is deterministic given ``(workload, seed)``; iterating the
 same trace twice yields the identical instruction stream, which the
 equivalence tests between renaming schemes rely on.
 
-**Hot-path structure.**  Each kernel body is compiled *once* into a flat
-emit program (a list of small tuples tagged by an integer opcode), so
-emitting a dynamic instruction costs one tuple dispatch instead of an
-``isinstance`` chain per record.  Statements whose record is fully
-static (ALU/FP ops, branches — both outcomes, the induction update, the
-back edge, the glue branch) pre-build immutable prototype
-:class:`TraceRecord` objects at compile time and yield the *same* record
-object for every dynamic instance; only loads and stores, whose
-effective address varies, construct a fresh (validation-free) record
-per instance.  The RNG consumption order is identical to the original
-statement-by-statement interpretation, so streams are bit-identical.
+**Slot coding.**  A dynamic instruction is a static instruction plus
+its outcome, so :class:`SyntheticTrace` compiles the kernels once into
+a :class:`~repro.trace.columns.SlotTable`: one slot per body statement,
+two per body branch (taken and not taken), and per kernel the
+induction update, both back-edge forms and one glue branch per target
+kernel.  A kernel visit then emits only slot ids, plus an address per
+record (0 except for loads and stores).  Each branch-free run of the
+body is one precomputed ``list.extend``, so per-record Python is left
+only for address patterns and body branches.  A kernel without body
+branches emits its whole visit with list arithmetic, and fills the
+addresses of each :class:`~repro.trace.patterns.ArrayWalk` only it
+uses with one slice assignment.  The RNG draws happen in the order of
+a statement-by-statement interpretation, so the stream is bit-identical
+to it (``tests/trace/test_record_digests.py`` pins digests of it).
+
+The materialized-trace cache keeps the two columns
+(:func:`materialized_trace`); iterating a :class:`SyntheticTrace`
+yields records decoded from the same emitter through the prototypes
+(:meth:`~repro.trace.columns.SlotTable.records`).
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
+from array import array
 from collections import OrderedDict
 from random import Random
 
@@ -38,12 +47,13 @@ from repro.isa.instruction import TraceRecord
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NO_REG
 from repro.trace.columns import (
-    CHUNK,
+    ADDR_CODE,
     RECORD_BYTES,
+    SLOT_CODE,
+    SlotTable,
     TraceColumns,
-    empty_columns,
-    extend_columns,
 )
+from repro.trace.patterns import ArrayWalk, ChaseRegion, RandomRegion
 from repro.trace.program import (
     INDUCTION,
     CondBranch,
@@ -58,75 +68,226 @@ from repro.trace.program import (
 KERNEL_PC_STRIDE = 0x1000
 BASE_PC = 0x10000
 
-# Emit-program opcodes (first element of each compiled tuple).
-_EMIT_STATIC = 0  # (op, proto_record)
-_EMIT_MEM = 1  # (op, array_name, pc, record_op, dest, src1, src2)
-_EMIT_BRANCH = 2  # (op, p_taken, skip, proto_taken, proto_not_taken)
+#: Records emitted per step when filling columns or iterating records,
+#: bounding the transient Python lists.
+CHUNK = 8192
 
 
-class _KernelProgram:
-    """One kernel's compiled emit program plus its loop-closing records."""
+class _Kernel:
+    """One kernel's static slots and its emit plan.
 
-    __slots__ = ("body", "induction", "backedge_taken", "backedge_last",
-                 "glue", "iterations")
+    ``runs[pos]`` is the branch-free stretch of the body starting at
+    ``pos``: ``(slots, mem, end)``, where ``mem`` lists ``(offset,
+    array name)`` of its loads and stores and ``end`` is the body
+    position of the branch closing it (``body_len`` when it reaches the
+    end of the body).  A run that reaches the end carries the
+    iteration's induction update and back edge; ``last_runs`` differs
+    only in that back edge (not taken, leaving the loop).
+    """
 
-    def __init__(self, kernel, binding, base, kernel_bases):
+    __slots__ = ("iterations", "body_len", "runs", "last_runs",
+                 "branches", "glue")
+
+    def __init__(self, kernel, binding, base, kernel_bases, protos):
+        def slot(record):
+            protos.append(record)
+            return len(protos) - 1
+
         body_len = len(kernel.body)
         ind_pc = base + 4 * body_len
         backedge_pc = ind_pc + 4
         glue_pc = backedge_pc + 4
         ind_reg = binding[INDUCTION]
         self.iterations = kernel.iterations
-        self.body = [
-            self._compile_stmt(stmt, base + 4 * pos, binding)
-            for pos, stmt in enumerate(kernel.body)
-        ]
-        self.induction = TraceRecord(ind_pc, OpClass.INT_ALU, dest=ind_reg,
-                                     src1=ind_reg)
-        self.backedge_taken = TraceRecord(backedge_pc, OpClass.BRANCH,
-                                          src1=ind_reg, taken=True, target=base)
-        self.backedge_last = TraceRecord(backedge_pc, OpClass.BRANCH,
-                                         src1=ind_reg, taken=False, target=base)
-        self.glue = [
-            TraceRecord(glue_pc, OpClass.BRANCH, src1=ind_reg, taken=True,
-                        target=target_base)
-            for target_base in kernel_bases
-        ]
+        self.body_len = body_len
+        steps = [self._compile_stmt(stmt, base + 4 * pos, binding, slot)
+                 for pos, stmt in enumerate(kernel.body)]
+        induction = slot(TraceRecord(ind_pc, OpClass.INT_ALU, dest=ind_reg,
+                                     src1=ind_reg))
+        backedge = [slot(TraceRecord(backedge_pc, OpClass.BRANCH,
+                                     src1=ind_reg, taken=taken, target=base))
+                    for taken in (True, False)]
+        self.glue = [slot(TraceRecord(glue_pc, OpClass.BRANCH, src1=ind_reg,
+                                      taken=True, target=target_base))
+                     for target_base in kernel_bases]
+        self.branches = {pos: step[1:] for pos, step in enumerate(steps)
+                         if step[0] == "branch"}
+        self.runs, self.last_runs = [], []
+        for start in range(body_len + 1):
+            run, mem, end = [], [], start
+            while end < body_len and steps[end][0] != "branch":
+                kind, s = steps[end][:2]
+                if kind == "mem":
+                    mem.append((len(run), steps[end][2]))
+                run.append(s)
+                end += 1
+            last = run
+            if end == body_len:
+                last = run + [induction, backedge[1]]
+                run = run + [induction, backedge[0]]
+            self.runs.append((run, mem, end))
+            self.last_runs.append((last, mem, end))
 
     @staticmethod
-    def _compile_stmt(stmt, pc, binding):
+    def _compile_stmt(stmt, pc, binding, slot):
+        """``("static", slot)``, ``("mem", slot, array name)`` or
+        ``("branch", p_taken, skip, taken slot, not-taken slot)``.
+        Every prototype goes through the checked constructor once."""
         if isinstance(stmt, Load):
             op = OpClass.LOAD_FP if stmt.fp else OpClass.LOAD_INT
-            # Validate the static shape once, through the checked
-            # constructor; dynamic instances go through the trusted one.
-            TraceRecord(pc, op, dest=binding[stmt.dst],
-                        src1=binding[stmt.base], addr=0)
-            return (_EMIT_MEM, stmt.array, pc, op, binding[stmt.dst],
-                    binding[stmt.base], NO_REG)
+            return ("mem", slot(TraceRecord(pc, op, dest=binding[stmt.dst],
+                                            src1=binding[stmt.base],
+                                            addr=0)), stmt.array)
         if isinstance(stmt, Store):
             op = OpClass.STORE_FP if stmt.fp else OpClass.STORE_INT
-            TraceRecord(pc, op, src1=binding[stmt.base],
-                        src2=binding[stmt.value], addr=0)
-            return (_EMIT_MEM, stmt.array, pc, op, NO_REG,
-                    binding[stmt.base], binding[stmt.value])
+            return ("mem", slot(TraceRecord(pc, op, src1=binding[stmt.base],
+                                            src2=binding[stmt.value],
+                                            addr=0)), stmt.array)
         if isinstance(stmt, (IntOp, FpOp)):
             srcs = stmt.srcs
-            src1 = binding[srcs[0]]
             src2 = binding[srcs[1]] if len(srcs) > 1 else NO_REG
-            proto = TraceRecord(pc, stmt.kind, dest=binding[stmt.dst],
-                                src1=src1, src2=src2)
-            return (_EMIT_STATIC, proto)
+            return ("static", slot(TraceRecord(pc, stmt.kind,
+                                               dest=binding[stmt.dst],
+                                               src1=binding[srcs[0]],
+                                               src2=src2)))
         if isinstance(stmt, CondBranch):
             target = pc + 4 + 4 * stmt.skip
             src = binding[stmt.src]
-            return (
-                _EMIT_BRANCH, stmt.p_taken, stmt.skip,
-                TraceRecord(pc, OpClass.BRANCH, src1=src, taken=True,
-                            target=target),
-                TraceRecord(pc, OpClass.BRANCH, src1=src, taken=False,
-                            target=target),
-            )
+            return ("branch", stmt.p_taken, stmt.skip) + tuple(
+                slot(TraceRecord(pc, OpClass.BRANCH, src1=src, taken=taken,
+                                 target=target))
+                for taken in (True, False))
         raise TypeError(f"unknown statement: {stmt!r}")
+
+    def bind(self, arrays, rng):
+        """The visit function over private pattern state ``arrays``:
+        ``visit(slots, addrs, next_kernel)`` appends one visit."""
+        if not self.branches:
+            return self._bind_straight(arrays, rng)
+        iterations, glue = self.iterations, self.glue
+
+        def draw(pattern):
+            # (next_address, region): a RandomRegion's next_address is
+            # inlined below, since it dominates the integer kernels.
+            if type(pattern) in (RandomRegion, ChaseRegion):
+                return None, (pattern.base,
+                              pattern.size_bytes // pattern.align,
+                              pattern.align)
+            return pattern.next_address, None
+
+        def bound(table):
+            return [(slots, [0] * len(slots),
+                     [(off, *draw(arrays[name])) for off, name in mem],
+                     end) for slots, mem, end in table]
+
+        runs = bound(self.runs)
+        plan = [runs] * (iterations - 1) + [bound(self.last_runs)]
+        body_len = self.body_len
+        branches = self.branches
+        random = rng.random
+        # What RandomRegion.next_address's rng.randrange(n) calls for
+        # n > 0: the same draws, minus two Python frames per address.
+        randbelow = rng._randbelow
+
+        def visit(slots, addrs, next_kernel):
+            for table in plan:
+                pos = 0
+                while True:
+                    run, zeros, mem, end = table[pos]
+                    first = len(addrs)
+                    slots += run
+                    addrs += zeros
+                    for off, next_address, region in mem:
+                        if region:
+                            base, size, align = region
+                            addrs[first + off] = base + randbelow(size) * align
+                        else:
+                            addrs[first + off] = next_address(rng)
+                    if end == body_len:
+                        break
+                    p_taken, skip, taken, not_taken = branches[end]
+                    if random() < p_taken:
+                        slots.append(taken)
+                        pos = end + 1 + skip
+                    else:
+                        slots.append(not_taken)
+                        pos = end + 1
+                    addrs.append(0)
+            slots.append(glue[next_kernel])
+            addrs.append(0)
+
+        return visit
+
+    def _bind_straight(self, arrays, rng):
+        """A visit of a kernel without body branches: its slots are
+        fixed, so only the addresses vary."""
+        iterations, glue = self.iterations, self.glue
+        run, mem, _ = self.runs[0]
+        period = len(run)
+        visit_slots = run * (iterations - 1) + self.last_runs[0][0]
+        zeros = [0] * len(visit_slots)
+        users = {}
+        for _, name in mem:
+            users[id(arrays[name])] = users.get(id(arrays[name]), 0) + 1
+        # A walk no other load or store advances draws no randomness, so
+        # its addresses for the whole visit can be filled at once; every
+        # other pattern is called in statement order.
+        walks, drawn = [], []
+        for off, name in mem:
+            pattern = arrays[name]
+            if type(pattern) is ArrayWalk and users[id(pattern)] == 1:
+                walks.append((off, pattern))
+            else:
+                drawn.append((off, pattern.next_address))
+        starts = range(0, len(visit_slots), period)
+
+        def visit(slots, addrs, next_kernel):
+            first = len(addrs)
+            slots += visit_slots
+            addrs += zeros
+            for off, walk in walks:
+                walk.fill(addrs, first + off, iterations, period)
+            if drawn:
+                for start in starts:
+                    base = first + start
+                    for off, next_address in drawn:
+                        addrs[base + off] = next_address(rng)
+            slots.append(glue[next_kernel])
+            addrs.append(0)
+
+        return visit
+
+
+class _Emitter:
+    """One deterministic walk of a :class:`SyntheticTrace`: the RNG,
+    private address-pattern state and the kernel cursor."""
+
+    __slots__ = ("rng", "visits", "weights", "current")
+
+    def __init__(self, trace):
+        rng = self.rng = Random(trace.seed)
+        kernels = trace.workload.kernels
+        # Private pattern state per emitter so that concurrent walks of
+        # one workload cannot interfere.
+        self.visits = [plan.bind(copy.deepcopy(kernel.arrays), rng)
+                       for plan, kernel in zip(trace._kernels, kernels)]
+        self.weights = [k.weight for k in kernels]
+        self.current = rng.choices(range(len(kernels)), self.weights)[0]
+
+    def fill(self, slots, addrs, count):
+        """Append whole kernel visits to the ``slots`` and ``addrs``
+        lists until they hold at least ``count`` records."""
+        choices = self.rng.choices
+        population = range(len(self.visits))
+        weights = self.weights
+        visits = self.visits
+        current = self.current
+        while len(slots) < count:
+            # The next kernel is drawn before the current visit runs.
+            nxt = choices(population, weights)[0]
+            visits[current](slots, addrs, nxt)
+            current = nxt
+        self.current = current
 
 
 #: Estimated bytes per record of the Python form: its list slot plus a
@@ -137,53 +298,56 @@ _PYTHON_RECORD_BYTES = 64
 class _TraceEntry:
     """Both forms of one cached ``(workload, seed)`` trace prefix.
 
-    The columns are always built, a chunk at a time from the record
-    stream; the Python record list only once a Python tier iterates.
+    The slot and address columns are always built, by the entry's own
+    emitter; the Python record list is decoded from them only once a
+    Python tier iterates.
     """
 
-    __slots__ = ("key", "source", "columns", "missing", "stream",
-                 "records", "record_stream")
+    __slots__ = ("key", "table", "emitter", "pending", "slots", "addrs",
+                 "records")
 
     def __init__(self, key, source):
         self.key = key
-        self.source = source
-        self.columns = empty_columns()
-        self.missing = []
-        self.stream = iter(source)
+        self.table = source.table
+        self.emitter = _Emitter(source)
+        # Emitted past the cached prefix (the rest of a kernel visit).
+        self.pending = ([], [])
+        self.slots = array(SLOT_CODE)
+        self.addrs = array(ADDR_CODE)
         self.records = None
-        self.record_stream = None
 
     def nbytes(self):
-        size = len(self.columns[0]) * RECORD_BYTES
+        size = len(self.slots) * RECORD_BYTES
         if self.records is not None:
             size += len(self.records) * _PYTHON_RECORD_BYTES
         return size
 
     def grow_columns(self, count):
-        start = len(self.columns[0])
-        if count <= start:
+        need = count - len(self.slots)
+        if need <= 0:
             return
-        tail = empty_columns()
-        while start < count:
-            chunk = list(itertools.islice(self.stream,
-                                          min(count - start, CHUNK)))
-            if not chunk:
-                break
-            extend_columns(tail, self.missing, chunk, start)
-            start += len(chunk)
-        if len(self.columns[0]):
-            # Published arrays are never resized (views hold their
-            # buffers), so a longer prefix gets new arrays.
-            tail = tuple(old + new for old, new in zip(self.columns, tail))
-        self.columns = tail
+        # Published arrays are never resized (views hold their
+        # buffers), so a longer prefix gets new arrays.
+        slots, addrs = self.slots[:], self.addrs[:]
+        new_slots, new_addrs = self.pending
+        while need > 0:
+            self.emitter.fill(new_slots, new_addrs, min(need, CHUNK))
+            take = min(need, len(new_slots))
+            slots.fromlist(new_slots[:take])
+            addrs.fromlist(new_addrs[:take])
+            del new_slots[:take], new_addrs[:take]
+            need -= take
+        self.slots, self.addrs = slots, addrs
 
     def grow_records(self, count):
         if self.records is None:
             self.records = []
-            self.record_stream = iter(self.source)
-        need = count - len(self.records)
-        if need > 0:
-            self.records.extend(itertools.islice(self.record_stream, need))
+        records = self.records
+        decode = self.table.records
+        for start in range(len(records), count, CHUNK):
+            end = min(start + CHUNK, count)
+            records.extend(decode(self.slots[start:end],
+                                  self.addrs[start:end]))
 
 
 class _TraceCache:
@@ -201,7 +365,7 @@ class _TraceCache:
         self.max_bytes = max_bytes
         self.entries = OrderedDict()
         self.nbytes = 0
-        # Serializes mutation: two threads must not drain one stream.
+        # Serializes mutation: two threads must not drive one emitter.
         self.lock = threading.Lock()
 
     def grow(self, entry, grow, count):
@@ -226,8 +390,8 @@ class CachedTrace:
     """The first ``len(self)`` records of a cached trace, in two forms.
 
     Iterating yields the shared, write-once :class:`TraceRecord` list
-    (built on first iteration, for the Python tiers);
-    :meth:`columns` is the native tier's columnar view.
+    (decoded on first iteration, for the Python tiers);
+    :meth:`columns` is the slot-coded view the native tier reads.
     """
 
     __slots__ = ("_entry", "_count")
@@ -253,7 +417,8 @@ class CachedTrace:
         if limit is not None:
             count = min(count, limit)
         entry = self._entry
-        return TraceColumns(entry.columns, entry.missing, skip, count)
+        return TraceColumns(entry.slots, entry.addrs, entry.table, skip,
+                            count)
 
 
 def materialized_trace(workload, seed, count):
@@ -291,6 +456,7 @@ class SyntheticTrace:
     """Iterable over the dynamic instruction stream of a workload.
 
     Each ``iter()`` produces an independent, identically-seeded stream.
+    :attr:`table` is the workload's slot table.
     """
 
     def __init__(self, workload, seed=1234):
@@ -304,11 +470,13 @@ class SyntheticTrace:
             static_len = len(kernel.body) + 3  # + induction, back-edge, glue
             if static_len * 4 > KERNEL_PC_STRIDE:
                 raise ValueError(f"kernel {kernel.name!r} too large for PC region")
-        self._programs = [
-            _KernelProgram(kernel, binding, base, self._bases)
+        protos = []
+        self._kernels = [
+            _Kernel(kernel, binding, base, self._bases, protos)
             for kernel, binding, base
             in zip(workload.kernels, self._bindings, self._bases)
         ]
+        self.table = SlotTable(protos)
 
     def __iter__(self):
         return self._generate()
@@ -317,69 +485,13 @@ class SyntheticTrace:
         """Materialize the first ``n`` records as a list."""
         return list(itertools.islice(iter(self), n))
 
-    # -- internals ---------------------------------------------------------
-
     def _generate(self):
-        rng = Random(self.seed)
-        kernels = self.workload.kernels
-        # Private pattern state per generator so that concurrent iterations
-        # of one workload cannot interfere.
-        arrays = [copy.deepcopy(k.arrays) for k in kernels]
-        weights = [k.weight for k in kernels]
-        current = rng.choices(range(len(kernels)), weights)[0]
+        emitter = _Emitter(self)
+        decode = self.table.records
         while True:
-            nxt = rng.choices(range(len(kernels)), weights)[0]
-            # One kernel visit is materialized eagerly and re-yielded at
-            # C speed: the consumer crosses a single generator frame per
-            # record instead of two.  The RNG draw order is unchanged
-            # (nothing interleaves with a visit), so streams stay
-            # bit-identical to lazy emission.
-            yield from self._run_kernel(current, nxt, arrays[current], rng)
-            current = nxt
-
-    def _run_kernel(self, idx, next_idx, arrays, rng):
-        """All records of one kernel visit, in emission order (a list)."""
-        program = self._programs[idx]
-        body = program.body
-        body_len = len(body)
-        trusted = TraceRecord.trusted
-        random = rng.random
-        induction = program.induction
-        backedge_taken = program.backedge_taken
-        last_iteration = program.iterations - 1
-        out = []
-        emit = out.append
-
-        for it in range(program.iterations):
-            pos = 0
-            while pos < body_len:
-                entry = body[pos]
-                kind = entry[0]
-                if kind == _EMIT_STATIC:
-                    emit(entry[1])
-                    pos += 1
-                elif kind == _EMIT_MEM:
-                    _, array, pc, op, dest, src1, src2 = entry
-                    addr = arrays[array].next_address(rng)
-                    emit(trusted(pc, op, dest, src1, src2, addr))
-                    pos += 1
-                else:  # _EMIT_BRANCH
-                    taken = random() < entry[1]
-                    if taken:
-                        emit(entry[3])
-                        pos += 1 + entry[2]
-                    else:
-                        emit(entry[4])
-                        pos += 1
-
-            # Induction update and loop back-edge.
-            emit(induction)
-            emit(backedge_taken if it != last_iteration
-                 else program.backedge_last)
-
-        # Glue branch into the next kernel (always taken).
-        emit(program.glue[next_idx])
-        return out
+            slots, addrs = [], []
+            emitter.fill(slots, addrs, CHUNK)
+            yield from decode(slots, addrs)
 
 
 def take(trace, n):

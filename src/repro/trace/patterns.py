@@ -54,6 +54,23 @@ class ArrayWalk(AddressPattern):
         self._pos += self.stride
         return addr
 
+    def fill(self, addrs, first, count, step):
+        """Write the next ``count`` addresses into ``addrs[first::step]``,
+        exactly as ``count`` calls of :meth:`next_address` would (the
+        trace generator's bulk path; a walk draws no randomness)."""
+        length, elem, stride = self.length, self.elem_bytes, self.stride
+        pos = self._pos
+        at = pos % length
+        if stride > 0 and at + (count - 1) * stride < length:  # no wrap
+            start = self.base + at * elem
+            values = range(start, start + count * stride * elem,
+                           stride * elem)
+        else:
+            values = [self.base + ((pos + k * stride) % length) * elem
+                      for k in range(count)]
+        addrs[first:first + count * step:step] = values
+        self._pos = pos + count * stride
+
     def reset(self):
         self._pos = 0
 

@@ -7,16 +7,17 @@ This package lowers the same per-``ProcessorConfig`` specialization to
 C99: a ``#define`` header rendered per feature vector is prepended to
 ``engine_template.c`` (one translation unit), compiled once with the
 system toolchain (``cc -O2 -shared -fPIC``; ``REPRO_CC`` overrides the
-probe order), and loaded through :mod:`ctypes`.  The trace arrives as
-typed columns (:class:`~repro.trace.columns.TraceColumns`) that the C
-loop reads in place — the materialized-trace cache keeps them per
-``(workload, seed)``, any other record iterable is converted once —
-and the functional warm-up over the skipped prefix runs in C too, so a
-run does no per-record Python work.  A flat counter block is mapped
-back onto ``SimStats`` — the contract is **bit-identical** statistics
-with the interpreter,
-enforced by the same differential stack as the compiled tier
-(``tools/engine_diff.py``, golden replays, the chaos differential).
+probe order), and loaded through :mod:`ctypes`.  The trace arrives
+slot-coded (:class:`~repro.trace.columns.TraceColumns`): a slot id and
+an address per record plus the per-workload slot table, which the C
+loop reads in place as ``table[slot[i]]`` — the materialized-trace
+cache keeps the columns per ``(workload, seed)``, any other record
+iterable is encoded once — and the functional warm-up over the skipped
+prefix runs in C too, so a run does no per-record Python work.  A flat
+counter block is mapped back onto ``SimStats`` — the contract is
+**bit-identical** statistics with the interpreter, enforced by the same
+differential stack as the compiled tier (``tools/engine_diff.py``,
+golden replays, the chaos differential).
 
 Shared objects are cached under ``REPRO_CACHE_DIR/native/`` keyed by
 ``sha256(header + template)`` so sweeps and pool workers compile each
@@ -355,7 +356,7 @@ def _build_lock(directory):
 
 def _declare(lib):
     lib.repro_run.restype = ctypes.c_int64
-    lib.repro_run.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
+    lib.repro_run.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
     return lib
 
 
@@ -514,7 +515,8 @@ def execute(processor, trace):
     """Run a :class:`~repro.trace.columns.TraceColumns` trace through
     the native loop on ``processor``.
 
-    The C loop reads the columns in place: it first warms the cache and
+    The C loop reads the slot and address columns and the slot table in
+    place (no per-run decode): it first warms the cache and
     the branch predictor over the ``trace.skip`` prefix (exactly
     ``Processor._warm_up``), then simulates the ``len(trace)`` records
     after it.  Returns ``True`` when the native tier ran and the
@@ -546,7 +548,8 @@ def execute(processor, trace):
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
-    rc = lib.repro_run(n, trace.skip, *map(_ptr, trace.arrays),
+    rc = lib.repro_run(n, trace.skip, _ptr(trace.slots), _ptr(trace.addrs),
+                       *map(_ptr, trace.table.columns),
                        _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
     if rc in (0, 1):
         _sync(processor, counters, tags_arr, bht_arr)

@@ -15,10 +15,12 @@
  * contract is bit-identical SimStats with the interpreter.
  *
  * Entry point:
- *   int64_t repro_run(n, skip, rec_pc, rec_op, rec_dest, rec_src1,
- *                     rec_src2, rec_addr, rec_taken, cache_tags_io,
- *                     bht_io, counters)
- * The rec_* columns hold skip + n records.  The first skip records are
+ *   int64_t repro_run(n, skip, rec_slot, rec_addr, tab_pc, tab_op,
+ *                     tab_dest, tab_src1, tab_src2, tab_taken,
+ *                     cache_tags_io, bht_io, counters)
+ * The trace is slot-coded (repro.trace.columns): rec_slot and rec_addr
+ * hold skip + n records, and every other field of record i is
+ * tab_<field>[rec_slot[i]], read in place.  The first skip records are
  * the functional warm-up prefix (cache tags and BHT only, exactly
  * Processor._warm_up); the next n are simulated.
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
@@ -65,10 +67,18 @@ static const int32_t FU_N[6] = FU_N_INIT;
 static int g_rc;
 
 static int64_t g_n;
-static const int64_t *r_pc;
-static const int32_t *r_op, *r_dest, *r_src1, *r_src2;
+/* the simulated records: slot ids and addresses, plus the slot table */
+static const int32_t *r_slot;
 static const int64_t *r_addr;
-static const int8_t *r_taken;
+static const int64_t *t_pc;
+static const int32_t *t_op, *t_dest, *t_src1, *t_src2;
+static const int8_t *t_taken;
+#define R_PC(s) t_pc[r_slot[s]]
+#define R_OP(s) t_op[r_slot[s]]
+#define R_DEST(s) t_dest[r_slot[s]]
+#define R_SRC1(s) t_src1[r_slot[s]]
+#define R_SRC2(s) t_src2[r_slot[s]]
+#define R_TAKEN(s) t_taken[r_slot[s]]
 
 /* per-instruction dynamic state, indexed by seq (== trace index) */
 static int64_t *d_nb, *d_mra, *d_dra, *d_cat;
@@ -710,7 +720,7 @@ static int vp_try_alloc(int32_t s, int cls)
     d_dphys[s] = phys;
     vp = d_vpr[s];
     pmt[cls][vp] = phys;
-    idx = r_dest[s] & INDEX_MASK;
+    idx = R_DEST(s) & INDEX_MASK;
     if (gvp[cls][idx] == vp) {
         gp[cls][idx] = phys;
         gv[cls][idx] = 1;
@@ -894,19 +904,19 @@ static int setup(int64_t n)
 
 /* Processor._warm_up over the skip prefix: install the line of every
  * nonzero address and train the BHT on every branch, with no timing. */
-static void warm_up(int64_t skip, const int64_t *pc, const int32_t *op,
-                    const int64_t *addr, const int8_t *taken)
+static void warm_up(int64_t skip, const int32_t *slot, const int64_t *addr)
 {
     int64_t i;
     for (i = 0; i < skip; i++) {
+        int32_t k = slot[i];
         if (addr[i]) {
             int64_t line = addr[i] / LINE_BYTES;
             c_tags[line % NUM_LINES] = line;
         }
-        if (OP_BR[op[i]]) {
-            int64_t bidx = (pc[i] >> 2) & BHT_MASK;
+        if (OP_BR[t_op[k]]) {
+            int64_t bidx = (t_pc[k] >> 2) & BHT_MASK;
             int8_t ctr = bht[bidx];
-            if (taken[i]) {
+            if (t_taken[k]) {
                 if (ctr < 3)
                     bht[bidx] = ctr + 1;
             } else if (ctr > 0) {
@@ -919,10 +929,10 @@ static void warm_up(int64_t skip, const int64_t *pc, const int32_t *op,
 /* ---- the run loop --------------------------------------------------- */
 
 int64_t repro_run(int64_t n, int64_t skip,
-                  const int64_t *rec_pc, const int32_t *rec_op,
-                  const int32_t *rec_dest, const int32_t *rec_src1,
-                  const int32_t *rec_src2, const int64_t *rec_addr,
-                  const int8_t *rec_taken,
+                  const int32_t *rec_slot, const int64_t *rec_addr,
+                  const int64_t *tab_pc, const int32_t *tab_op,
+                  const int32_t *tab_dest, const int32_t *tab_src1,
+                  const int32_t *tab_src2, const int8_t *tab_taken,
                   int64_t *cache_tags_io, int8_t *bht_io,
                   int64_t *counters)
 {
@@ -940,20 +950,21 @@ int64_t repro_run(int64_t n, int64_t skip,
 
     c_tags = cache_tags_io;
     bht = bht_io;
-    r_pc = rec_pc + skip;
-    r_op = rec_op + skip;
-    r_dest = rec_dest + skip;
-    r_src1 = rec_src1 + skip;
-    r_src2 = rec_src2 + skip;
+    r_slot = rec_slot + skip;
     r_addr = rec_addr + skip;
-    r_taken = rec_taken + skip;
+    t_pc = tab_pc;
+    t_op = tab_op;
+    t_dest = tab_dest;
+    t_src1 = tab_src1;
+    t_src2 = tab_src2;
+    t_taken = tab_taken;
 
     if (setup(n)) {
         rc = g_rc;
         free_all();
         return rc;
     }
-    warm_up(skip, rec_pc, rec_op, rec_addr, rec_taken);
+    warm_up(skip, rec_slot, rec_addr);
 
     while (!(exhausted && !fb_n && !rob_n)) {
         /* ---- write-back: completion events -------------------------- */
@@ -970,7 +981,7 @@ int64_t repro_run(int64_t n, int64_t skip,
             qsort(ev_list, (size_t)ev_cnt, 4, cmp_i32);
             for (k = 0; k < ev_cnt; k++) {
                 int32_t s = ev_list[k];
-                int32_t op = r_op[s];
+                int32_t op = R_OP(s);
                 int cls;
                 int32_t tag;
                 if (OP_STORE[op]) {
@@ -983,10 +994,10 @@ int64_t repro_run(int64_t n, int64_t skip,
                     continue;
                 }
                 if (OP_BR[op]) {
-                    int64_t bidx = (r_pc[s] >> 2) & BHT_MASK;
+                    int64_t bidx = (R_PC(s) >> 2) & BHT_MASK;
                     int8_t ctr = bht[bidx];
                     s_branches++;
-                    if (r_taken[s]) {
+                    if (R_TAKEN(s)) {
                         if (ctr < 3)
                             bht[bidx] = ctr + 1;
                     } else if (ctr > 0) {
@@ -1076,7 +1087,7 @@ int64_t repro_run(int64_t n, int64_t skip,
             int64_t budget = COMMIT_W, before = committed;
             while (budget && rob_n) {
                 int32_t s = rob_q[rob_h];
-                int32_t op = r_op[s];
+                int32_t op = R_OP(s);
                 int cls;
                 if (!(d_fl[s] & FL_DONE) || d_cat[s] + COMMIT_DELAY > now)
                     break;
@@ -1195,7 +1206,7 @@ int64_t repro_run(int64_t n, int64_t skip,
 #endif
             while (budget && rh_n) {
                 int32_t s = h32_pop(rh_q, &rh_n);
-                int32_t op = r_op[s];
+                int32_t op = R_OP(s);
                 int kind, kind_bit, unit;
                 int64_t u, nu;
                 if (d_nb[s] > now) {
@@ -1313,7 +1324,7 @@ int64_t repro_run(int64_t n, int64_t skip,
             int64_t budget = RENAME_W;
             while (budget && fb_n) {
                 int32_t s = fb_q[fb_h];
-                int32_t op = r_op[s];
+                int32_t op = R_OP(s);
                 int cls = OP_DEST[op];
                 int32_t src1, src2, t1 = -1, t2 = -1;
                 int64_t need_int = 0, need_fp = 0, waiting = 0;
@@ -1346,8 +1357,8 @@ int64_t repro_run(int64_t n, int64_t skip,
 #endif
                 fb_h = (fb_h + 1) % (FB_SIZE + 1);
                 fb_n--;
-                src1 = r_src1[s];
-                src2 = r_src2[s];
+                src1 = R_SRC1(s);
+                src2 = R_SRC2(s);
                 if (src1 >= 0) {
                     int c = src1 >> CLASS_SHIFT;
 #if F_VP
@@ -1376,7 +1387,7 @@ int64_t repro_run(int64_t n, int64_t skip,
                 if (cls < 0) {
                     d_dtag[s] = -1;
                 } else {
-                    int64_t idx = r_dest[s] & INDEX_MASK;
+                    int64_t idx = R_DEST(s) & INDEX_MASK;
 #if F_VP
                     int32_t new_vp = pool_alloc(&pool_vp[cls]);
                     if (g_rc)
@@ -1498,14 +1509,14 @@ int64_t repro_run(int64_t n, int64_t skip,
                     fb_q[(fb_h + fb_n) % (FB_SIZE + 1)] = s;
                     fb_n++;
                     budget--;
-                    if (OP_BR[r_op[s]]) {
+                    if (OP_BR[R_OP(s)]) {
 #if F_PERFECT
-                        int predicted = r_taken[s] != 0;
+                        int predicted = R_TAKEN(s) != 0;
 #else
                         int predicted =
-                            bht[(r_pc[s] >> 2) & BHT_MASK] >= 2;
+                            bht[(R_PC(s) >> 2) & BHT_MASK] >= 2;
 #endif
-                        if (predicted != (r_taken[s] != 0)) {
+                        if (predicted != (R_TAKEN(s) != 0)) {
                             d_fl[s] |= FL_MISP;
                             fetch_resume_at = FAR_FUTURE;
                             break;
@@ -1560,14 +1571,14 @@ int64_t repro_run(int64_t n, int64_t skip,
                 }
                 if (fb_n) {
                     int32_t h = fb_q[fb_h];
-                    int hcls = OP_DEST[r_op[h]];
+                    int hcls = OP_DEST[R_OP(h)];
                     if (rob_n >= ROB_SIZE) {
                         stall_kind = 1;
                     } else if (iq_count >= IQ_SIZE) {
                         stall_kind = 2;
                     }
 #if SQ_CAP
-                    else if (OP_STORE[r_op[h]] && sq_n >= SQ_CAP) {
+                    else if (OP_STORE[R_OP(h)] && sq_n >= SQ_CAP) {
                         stall_kind = 3;
                     }
 #endif

@@ -191,7 +191,7 @@ class Processor:
         engine = _compiled.resolve_engine(self._engine)
         self.engine_used = "interp"
         # The native tier runs the whole trace, warm-up included, in C
-        # over typed columns: a cached trace's own, or one conversion of
+        # over slot-coded columns: a cached trace's own, or one encoding of
         # any other record iterable (whose records the fallback then
         # replays).  On any build or trace refusal it falls back to the
         # compiled tier below, counting the fallback; Python state is

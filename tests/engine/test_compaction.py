@@ -1,6 +1,7 @@
 """Result-store compaction: segments and superseded records fold away."""
 
 import json
+import os
 import threading
 
 from repro.engine import ResultStore, RunSpec, execute_spec
@@ -128,6 +129,66 @@ def test_compaction_never_loses_a_racing_append(tmp_path):
                          f"racing appends, e.g. {missing[:3]}")
     assert len(reader.segment_paths()) == 0
     assert not list(tmp_path.glob("*.compacting"))
+
+
+def _interleave(monkeypatch, trigger, action):
+    """Run ``action()`` once, inside the first call of ``os.<trigger>``
+    made by the store module, before that call proceeds."""
+    from repro.engine import store as store_module
+
+    real = getattr(os, trigger)
+    fired = []
+
+    def patched(*args, **kwargs):
+        if not fired:
+            fired.append(True)
+            action()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(store_module.os, trigger, patched)
+
+
+def test_append_after_the_final_drain_is_written_again(tmp_path,
+                                                        monkeypatch):
+    """A put that opened its segment before compaction renamed it, and
+    writes only after the post-unlink drain, lands in an unlinked
+    inode: it must notice and append the record again."""
+    spec = small_spec()
+    result = execute_spec(spec)
+    writer = ResultStore(tmp_path)
+    writer.put("go:early:400:100:1", result)  # the segment exists
+    _interleave(monkeypatch, "write",
+                lambda: ResultStore(tmp_path).compact())
+    writer.put(spec.key(), result)
+    monkeypatch.undo()
+    assert ResultStore(tmp_path).get(spec.key()) is not None
+    assert ResultStore(tmp_path).get("go:early:400:100:1") is not None
+
+
+def test_scan_leaves_a_line_being_written_for_the_drain(tmp_path,
+                                                        monkeypatch):
+    """A compaction scan that reads part of a line still being written
+    must not consume it: the rest arrives before the segment is
+    retired, and the drain then rescues the whole record."""
+    spec = small_spec()
+    result = execute_spec(spec)
+    writer = ResultStore(tmp_path)
+    writer.put("go:early:400:100:1", result)
+    writer.put(spec.key(), result)
+    segment = writer.segment_paths()[0]
+    data = segment.read_bytes()
+    first = data.index(b"\n") + 1
+    half = first + (len(data) - first) // 2
+    segment.write_bytes(data[:half])  # the second record, half written
+
+    def finish_write():  # before the scan's results reach the base
+        with open(segment, "ab") as fh:
+            fh.write(data[half:])
+    _interleave(monkeypatch, "replace", finish_write)
+    kept, dropped = ResultStore(tmp_path).compact()
+    monkeypatch.undo()
+    assert (kept, dropped) == (2, 0)
+    assert ResultStore(tmp_path).get(spec.key()) is not None
 
 
 def test_segment_created_after_compaction_scan_survives(tmp_path):

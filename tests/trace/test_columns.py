@@ -1,4 +1,4 @@
-"""The columnar trace format and the two-form materialized-trace cache."""
+"""The slot-coded trace format and the two-form materialized-trace cache."""
 
 import sys
 import threading
@@ -7,7 +7,7 @@ import pytest
 
 from repro.isa.instruction import TraceRecord
 from repro.isa.opcodes import OpClass
-from repro.trace.columns import COLUMNS, RECORD_BYTES, TraceColumns
+from repro.trace.columns import FIELDS, RECORD_BYTES, TraceColumns
 from repro.trace import generator
 from repro.trace.generator import (
     SyntheticTrace,
@@ -31,11 +31,19 @@ def _field(record, name):
     return int(bool(value)) if name == "taken" else int(value)
 
 
-def assert_columns_match(arrays, records):
-    assert all(len(column) >= len(records) for column in arrays)
-    for (name, _), column in zip(COLUMNS, arrays):
+def _decoded(columns):
+    """Every field of ``columns``, decoded through its slot table."""
+    return {name: [int(bool(v)) if name == "taken" else int(v)
+                   for v in values]
+            for name, values in columns.fields().items()}
+
+
+def assert_columns_match(columns, records):
+    decoded = _decoded(columns)
+    assert all(len(values) >= len(records) for values in decoded.values())
+    for name in FIELDS:
         expected = [_field(record, name) for record in records]
-        assert list(column[:len(records)]) == expected, name
+        assert decoded[name][:len(records)] == expected, name
 
 
 @pytest.mark.parametrize("seed", [1234, 7])
@@ -44,27 +52,27 @@ def test_cached_columns_equal_generated_records(workload, seed):
     trace = materialized_trace(load_workload(workload), seed, N)
     assert len(trace) == N
     expected = SyntheticTrace(load_workload(workload), seed).take(N)
-    assert_columns_match(trace.columns().arrays, expected)
-    # The Python form is the generator's record stream itself.
+    assert_columns_match(trace.columns(), expected)
+    # The Python form decodes to the generator's record stream.
     assert [repr(r) for r in trace] == [repr(r) for r in expected]
 
 
 def test_growth_keeps_the_prefix_and_published_arrays():
     workload = load_workload("swim")
     short = materialized_trace(workload, 3, 1_000)
-    short_arrays = short.columns().arrays
+    short_arrays = (short.columns().slots, short.columns().addrs)
     short_records = list(short)
     snapshot = [list(column) for column in short_arrays]
 
     long = materialized_trace(workload, 3, 3_000)
-    long_arrays = long.columns().arrays
+    long_arrays = (long.columns().slots, long.columns().addrs)
     assert len(long) == 3_000
     # Published arrays are never resized: the earlier view still holds
     # the same buffers, and the grown entry extends the same stream.
     assert [list(column) for column in short_arrays] == snapshot
     for column, before in zip(long_arrays, snapshot):
         assert list(column[:1_000]) == before
-    assert_columns_match(long_arrays,
+    assert_columns_match(long.columns(),
                          SyntheticTrace(workload, 3).take(3_000))
     long_records = list(long)
     assert all(a is b for a, b in zip(short_records, long_records))
@@ -74,15 +82,15 @@ def test_growth_keeps_the_prefix_and_published_arrays():
 def test_views_share_both_forms_until_cleared():
     workload = load_workload("go")
     first = materialized_trace(workload, 5, N)
-    arrays, records = first.columns().arrays, list(first)
+    slots, records = first.columns().slots, list(first)
 
     again = materialized_trace(workload, 5, N)
-    assert again.columns().arrays[0] is arrays[0]
+    assert again.columns().slots is slots
     assert all(a is b for a, b in zip(list(again), records))
 
     clear_materialized_traces()
     rebuilt = materialized_trace(workload, 5, N)
-    assert rebuilt.columns().arrays[0] is not arrays[0]
+    assert rebuilt.columns().slots is not slots
     rebuilt_records = list(rebuilt)
     # Loads and stores are fresh objects per generation: regenerated.
     assert any(a is not b for a, b in zip(rebuilt_records, records))
@@ -103,7 +111,7 @@ def test_from_records_matches_fields_and_clips_skip():
     records = SyntheticTrace(load_workload("compress"), 2).take(500)
     columns = TraceColumns.from_records(records, skip=50)
     assert (columns.skip, len(columns)) == (50, 450)
-    assert_columns_match(columns.arrays, records)
+    assert_columns_match(columns, records)
     assert len(TraceColumns.from_records(records[:10], skip=50)) == 0
 
 
@@ -117,8 +125,9 @@ def test_store_missing_src_respects_the_warm_up_prefix():
     # Only warmed, never simulated: the C warm-up reads no sources.
     assert not TraceColumns.from_records(records,
                                          skip=11).store_missing_src()
-    assert not TraceColumns(TraceColumns.from_records(records).arrays,
-                            [10], 0, 10).store_missing_src()
+    full = TraceColumns.from_records(records)
+    assert not TraceColumns(full.slots, full.addrs, full.table, 0,
+                            10).store_missing_src()
 
 
 def test_registry_traces_have_no_store_missing_src():
@@ -128,10 +137,10 @@ def test_registry_traces_have_no_store_missing_src():
 
 
 def test_view_bounds_are_checked():
-    arrays = TraceColumns.from_records(
-        SyntheticTrace(load_workload("go"), 1).take(10)).arrays
+    columns = TraceColumns.from_records(
+        SyntheticTrace(load_workload("go"), 1).take(10))
     with pytest.raises(ValueError):
-        TraceColumns(arrays, [], 5, 6)
+        TraceColumns(columns.slots, columns.addrs, columns.table, 5, 6)
 
 
 def test_lru_is_bounded_by_bytes(monkeypatch):
@@ -163,15 +172,16 @@ def test_concurrent_views_see_consistent_traces():
     workload = load_workload("li")
     n = 6_000
     expected = SyntheticTrace(workload, 4).take(n)
-    fields = [[_field(r, name) for r in expected] for name, _ in COLUMNS]
+    fields = {name: [_field(r, name) for r in expected] for name in FIELDS}
     errors = []
 
     def worker(k):
         try:
             for count in range(400 + 150 * k, n + 1, 900):
                 trace = materialized_trace(workload, 4, count)
-                for column, want in zip(trace.columns().arrays, fields):
-                    assert list(column[:count]) == want[:count]
+                decoded = _decoded(trace.columns())
+                for name, want in fields.items():
+                    assert decoded[name][:count] == want[:count]
                 if k % 2:
                     assert all(a is b or repr(a) == repr(b)
                                for a, b in zip(trace, expected))

@@ -101,6 +101,27 @@ class TestStructure:
         mem = [r for r in recs if is_mem(r.op)]
         assert all(0x1000 <= r.addr < 0x1000 + 64 * 8 for r in mem)
 
+    @pytest.mark.parametrize("length, stride", [(5, 1), (7, 1), (6, 2),
+                                                 (5, -1), (9, 4)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_walk_addresses_follow_the_pattern_across_wraps(
+            self, length, stride, shared):
+        # Branch-free kernels fill a walk's addresses a visit at a time;
+        # they must equal the pattern's own sequence, wraps included
+        # (5 elements, 3 per visit: the second visit ends on the last).
+        body = [Load("v", "a"), IntOp("x", ("v", "x"))]
+        if shared:  # a second user of the walk: addresses interleave
+            body.append(Store("x", "a"))
+        kernel = LoopKernel(name="k", body=body, iterations=3, arrays={
+            "a": ArrayWalk(base=0x1000, length=length, elem_bytes=8,
+                           stride=stride)})
+        recs = SyntheticTrace(Workload("w", [kernel], category="int"),
+                              seed=1).take(300)
+        addrs = [r.addr for r in recs if is_mem(r.op)]
+        walk = ArrayWalk(base=0x1000, length=length, elem_bytes=8,
+                         stride=stride)
+        assert addrs == [walk.next_address(None) for _ in addrs]
+
     def test_too_large_kernel_rejected(self):
         body = [IntOp(f"v{i % 8}", (f"v{i % 8}",)) for i in range(2000)]
         kernel = LoopKernel(name="big", body=body, iterations=1)

@@ -1,8 +1,8 @@
-"""The native tier on columnar traces: refusals, C warm-up, user traces.
+"""The native tier on slot-coded traces: refusals, C warm-up, user traces.
 
 Registry workloads reach the C loop through the materialized-trace
 cache's columns; every other record iterable goes through one
-``TraceColumns.from_records`` conversion.  Both must match the
+``TraceColumns.from_records`` encoding.  Both must match the
 interpreter bit for bit, with and without a warm-up prefix.
 """
 
